@@ -1,5 +1,6 @@
 //! Hand-rolled argument parsing (no external dependencies).
 
+use netcut_serve::ScenarioConfig;
 use netcut_sim::{DeviceModel, Precision};
 
 /// Usage text printed on parse errors.
@@ -144,39 +145,23 @@ pub enum Command {
     },
     /// Simulate the deadline-aware serving runtime.
     Serve {
-        deadline_us: u64,
-        rps: u64,
-        duration_s: f64,
-        seed: u64,
-        jobs: usize,
-        workers: usize,
-        degrade: bool,
-        faults: bool,
+        /// The validated run configuration.
+        config: ScenarioConfig,
         json: bool,
-        batch_max: usize,
-        batch_slack_us: u64,
-        shards: usize,
-        devices: Vec<String>,
         timeline_out: Option<String>,
-        timeline_window_us: u64,
-        exit_pin: Option<usize>,
-        thermal_ppm: u64,
-        recalibrate: bool,
-        recalib_drift_ppm: u64,
-        recalib_cooldown_us: u64,
     },
     /// Run the `netcut-verify` static analyzer over a network (or the
     /// whole zoo) and every blockwise TRN of it.
     Lint { target: String, json: bool },
 }
 
+/// Parses a flag's value, or returns `default` when the flag is absent.
+fn parse_or<T: std::str::FromStr>(value: Option<&str>, default: T, err: &str) -> Result<T, String> {
+    value.map_or(Ok(default), |v| v.parse().map_err(|_| err.to_string()))
+}
+
 fn parse_jobs(value: Option<&str>) -> Result<usize, String> {
-    match value {
-        Some(v) => v
-            .parse()
-            .map_err(|_| "--jobs must be an integer (0 = one per CPU)".to_string()),
-        None => Ok(1),
-    }
+    parse_or(value, 1, "--jobs must be an integer (0 = one per CPU)")
 }
 
 fn parse_precision(s: &str) -> Result<Precision, String> {
@@ -220,34 +205,35 @@ pub fn parse(argv: &[String]) -> Result<Invocation, String> {
     })
 }
 
-/// Every per-subcommand flag; anything else starting with `-` is a typo
-/// (global flags are consumed before this check).
-const KNOWN_FLAGS: &[&str] = &[
-    "--extended",
-    "--precision",
-    "--deadline",
-    "--top",
-    "--json",
-    "--jobs",
-    "--no-cache",
-    "--deadline-us",
-    "--rps",
-    "--duration",
-    "--seed",
-    "--workers",
-    "--no-degrade",
-    "--no-faults",
-    "--batch-max",
-    "--batch-slack-us",
-    "--shards",
-    "--devices",
-    "--timeline-out",
-    "--timeline-window-us",
-    "--exit-table",
-    "--thermal-ppm",
-    "--recalibrate",
-    "--recalib-drift-ppm",
-    "--recalib-cooldown-us",
+/// Every per-subcommand flag and whether it takes a value; anything else
+/// starting with `-` is a typo (global flags are consumed before this
+/// check).
+const FLAGS: &[(&str, bool)] = &[
+    ("--extended", false),
+    ("--precision", true),
+    ("--deadline", true),
+    ("--top", true),
+    ("--json", false),
+    ("--jobs", true),
+    ("--no-cache", false),
+    ("--deadline-us", true),
+    ("--rps", true),
+    ("--duration", true),
+    ("--seed", true),
+    ("--workers", true),
+    ("--no-degrade", false),
+    ("--no-faults", false),
+    ("--batch-max", true),
+    ("--batch-slack-us", true),
+    ("--shards", true),
+    ("--devices", true),
+    ("--timeline-out", true),
+    ("--timeline-window-us", true),
+    ("--exit-table", true),
+    ("--thermal-ppm", true),
+    ("--recalibrate", false),
+    ("--recalib-drift-ppm", true),
+    ("--recalib-cooldown-us", true),
 ];
 
 /// Parses the subcommand and its own arguments (global flags removed).
@@ -255,9 +241,10 @@ fn parse_command(argv: &[&str]) -> Result<Command, String> {
     let mut it = argv.iter().copied();
     let sub = it.next().ok_or("missing subcommand")?;
     let rest: Vec<&str> = it.collect();
+    let takes_value = |a: &str| FLAGS.iter().find(|(f, _)| *f == a).map(|&(_, v)| v);
     if let Some(unknown) = rest
         .iter()
-        .find(|a| a.starts_with('-') && !KNOWN_FLAGS.contains(a))
+        .find(|a| a.starts_with('-') && takes_value(a).is_none())
     {
         return Err(format!("unknown flag `{unknown}`"));
     }
@@ -267,79 +254,38 @@ fn parse_command(argv: &[&str]) -> Result<Command, String> {
             .position(|a| *a == flag)
             .and_then(|i| rest.get(i + 1).copied())
     };
-    let positionals: Vec<&str> = {
-        let mut out = Vec::new();
-        let mut skip = false;
-        for (i, a) in rest.iter().enumerate() {
-            if skip {
-                skip = false;
-                continue;
-            }
-            if a.starts_with("--") {
-                // Flags with values consume the next token.
-                if matches!(
-                    *a,
-                    "--precision"
-                        | "--deadline"
-                        | "--top"
-                        | "--jobs"
-                        | "--deadline-us"
-                        | "--rps"
-                        | "--duration"
-                        | "--seed"
-                        | "--workers"
-                        | "--batch-max"
-                        | "--batch-slack-us"
-                        | "--shards"
-                        | "--devices"
-                        | "--timeline-out"
-                        | "--timeline-window-us"
-                        | "--exit-table"
-                        | "--thermal-ppm"
-                        | "--recalib-drift-ppm"
-                        | "--recalib-cooldown-us"
-                ) && i + 1 < rest.len()
-                {
-                    skip = true;
-                }
-                continue;
-            }
-            out.push(*a);
-        }
-        out
+    // A flag that takes a value consumes the token after it.
+    let positionals: Vec<&str> = rest
+        .iter()
+        .enumerate()
+        .filter(|&(i, a)| {
+            !a.starts_with("--") && (i == 0 || takes_value(rest[i - 1]) != Some(true))
+        })
+        .map(|(_, a)| *a)
+        .collect();
+    let network = || {
+        positionals
+            .first()
+            .map(ToString::to_string)
+            .ok_or_else(|| format!("{sub} requires a network name"))
     };
+    let precision = || flag_value("--precision").map_or(Ok(Precision::Int8), parse_precision);
     match sub {
         "zoo" => Ok(Command::Zoo {
             extended: has_flag("--extended"),
         }),
         "show" => Ok(Command::Show {
-            network: positionals
-                .first()
-                .ok_or("show requires a network name")?
-                .to_string(),
+            network: network()?,
         }),
         "dot" => Ok(Command::Dot {
-            network: positionals
-                .first()
-                .ok_or("dot requires a network name")?
-                .to_string(),
+            network: network()?,
         }),
-        "measure" => {
-            let network = positionals
-                .first()
-                .ok_or("measure requires a network name")?
-                .to_string();
-            let precision = match flag_value("--precision") {
-                Some(p) => parse_precision(p)?,
-                None => Precision::Int8,
-            };
-            Ok(Command::Measure { network, precision })
-        }
+        "measure" => Ok(Command::Measure {
+            network: network()?,
+            precision: precision()?,
+        }),
         "cut" => {
-            let network = positionals
-                .first()
-                .ok_or("cut requires a network name")?
-                .to_string();
+            let network = network()?;
             let blocks: usize = positionals
                 .get(1)
                 .ok_or("cut requires a block count")?
@@ -347,46 +293,22 @@ fn parse_command(argv: &[&str]) -> Result<Command, String> {
                 .map_err(|_| "block count must be an integer".to_string())?;
             Ok(Command::Cut { network, blocks })
         }
-        "trace" => {
-            let network = positionals
-                .first()
-                .ok_or("trace requires a network name")?
-                .to_string();
-            let precision = match flag_value("--precision") {
-                Some(p) => parse_precision(p)?,
-                None => Precision::Int8,
-            };
-            let top = match flag_value("--top") {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| "--top must be an integer".to_string())?,
-                None => 10,
-            };
-            Ok(Command::Trace {
-                network,
-                precision,
-                top,
-            })
-        }
-        "energy" => {
-            let network = positionals
-                .first()
-                .ok_or("energy requires a network name")?
-                .to_string();
-            let precision = match flag_value("--precision") {
-                Some(p) => parse_precision(p)?,
-                None => Precision::Int8,
-            };
-            Ok(Command::Energy { network, precision })
-        }
+        "trace" => Ok(Command::Trace {
+            network: network()?,
+            precision: precision()?,
+            top: parse_or(flag_value("--top"), 10, "--top must be an integer")?,
+        }),
+        "energy" => Ok(Command::Energy {
+            network: network()?,
+            precision: precision()?,
+        }),
         "budget" => Ok(Command::Budget),
         "explore" => {
-            let deadline_ms = match flag_value("--deadline") {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| "deadline must be a number (ms)".to_string())?,
-                None => 0.9,
-            };
+            let deadline_ms = parse_or(
+                flag_value("--deadline"),
+                0.9,
+                "deadline must be a number (ms)",
+            )?;
             Ok(Command::Explore {
                 deadline_ms,
                 extended: has_flag("--extended"),
@@ -401,49 +323,58 @@ fn parse_command(argv: &[&str]) -> Result<Command, String> {
             no_cache: has_flag("--no-cache"),
         }),
         "serve" => {
-            fn num<T: std::str::FromStr>(
-                value: Option<&str>,
-                flag: &str,
-                default: T,
-            ) -> Result<T, String> {
-                match value {
-                    Some(v) => v.parse().map_err(|_| format!("{flag} must be a number")),
-                    None => Ok(default),
-                }
+            let mut config = ScenarioConfig {
+                jobs: parse_jobs(flag_value("--jobs"))?,
+                degrade: !has_flag("--no-degrade"),
+                faults: !has_flag("--no-faults"),
+                recalibrate: has_flag("--recalibrate"),
+                ..ScenarioConfig::default()
+            };
+            for (flag, field) in [
+                ("--deadline-us", &mut config.deadline_us),
+                ("--rps", &mut config.rps),
+                ("--seed", &mut config.seed),
+                ("--batch-slack-us", &mut config.batch_slack_us),
+                ("--timeline-window-us", &mut config.timeline_window_us),
+                ("--thermal-ppm", &mut config.thermal_ppm),
+                ("--recalib-drift-ppm", &mut config.recalib_drift_ppm),
+                ("--recalib-cooldown-us", &mut config.recalib_cooldown_us),
+            ] {
+                let err = format!("{flag} must be a number");
+                *field = parse_or(flag_value(flag), *field, &err)?;
             }
-            let duration_s: f64 = num(flag_value("--duration"), "--duration", 5.0)?;
-            if !(duration_s > 0.0 && duration_s.is_finite()) {
-                return Err("--duration must be a positive number of seconds".to_string());
+            for (flag, field) in [
+                ("--workers", &mut config.workers),
+                ("--batch-max", &mut config.batch_max),
+                ("--shards", &mut config.shards),
+            ] {
+                let err = format!("{flag} must be a number");
+                *field = parse_or(flag_value(flag), *field, &err)?;
             }
-            let batch_max: usize = num(flag_value("--batch-max"), "--batch-max", 1)?;
-            if batch_max == 0 {
-                return Err("--batch-max must be at least 1 (1 = batching off)".to_string());
+            if let Some(v) = flag_value("--duration") {
+                // Negative and NaN durations saturate to 0 µs, which
+                // validation rejects.
+                let seconds: f64 = v.parse().map_err(|_| "--duration must be a number")?;
+                config.duration_us = (seconds * 1e6).round() as u64;
             }
-            let shards: usize = num(flag_value("--shards"), "--shards", 1)?;
-            if shards == 0 {
-                return Err("--shards must be at least 1".to_string());
-            }
-            let devices: Vec<String> = match flag_value("--devices") {
-                Some(list) => list
+            if let Some(list) = flag_value("--devices") {
+                config.devices = list
                     .split(',')
                     .map(|raw| {
-                        DeviceModel::by_name(raw.trim())
-                            .map(|d| d.name)
-                            .ok_or_else(|| {
-                                format!(
-                                    "unknown device `{}` (jetson-xavier|jetson-nano|tesla-k20m)",
-                                    raw.trim()
-                                )
-                            })
+                        DeviceModel::by_name(raw.trim()).ok_or_else(|| {
+                            format!(
+                                "unknown device `{}` (jetson-xavier|jetson-nano|tesla-k20m)",
+                                raw.trim()
+                            )
+                        })
                     })
-                    .collect::<Result<_, _>>()?,
-                None => vec!["jetson-xavier".to_string(), "jetson-nano".to_string()],
-            };
-            if rest.contains(&"--timeline-out") && flag_value("--timeline-out").is_none() {
+                    .collect::<Result<_, _>>()?;
+            }
+            if has_flag("--timeline-out") && flag_value("--timeline-out").is_none() {
                 return Err("--timeline-out requires a file path".to_string());
             }
-            let exit_pin: Option<usize> = match flag_value("--exit-table") {
-                None if rest.contains(&"--exit-table") => {
+            config.exit_pin = match flag_value("--exit-table") {
+                None if has_flag("--exit-table") => {
                     return Err("--exit-table requires `full` or an exit index".to_string());
                 }
                 None | Some("full") => None,
@@ -452,52 +383,11 @@ fn parse_command(argv: &[&str]) -> Result<Command, String> {
                         .map_err(|_| "--exit-table must be `full` or an exit index".to_string())?,
                 ),
             };
-            let timeline_window_us: u64 = num(
-                flag_value("--timeline-window-us"),
-                "--timeline-window-us",
-                100_000,
-            )?;
-            if timeline_window_us == 0 {
-                return Err("--timeline-window-us must be positive".to_string());
-            }
-            let thermal_ppm: u64 = num(flag_value("--thermal-ppm"), "--thermal-ppm", 0)?;
-            let recalib_drift_ppm: u64 = num(
-                flag_value("--recalib-drift-ppm"),
-                "--recalib-drift-ppm",
-                150_000,
-            )?;
-            if recalib_drift_ppm == 0 {
-                return Err("--recalib-drift-ppm must be positive".to_string());
-            }
-            let recalib_cooldown_us: u64 = num(
-                flag_value("--recalib-cooldown-us"),
-                "--recalib-cooldown-us",
-                500_000,
-            )?;
-            if recalib_cooldown_us == 0 {
-                return Err("--recalib-cooldown-us must be positive".to_string());
-            }
+            config.validate().map_err(|e| e.to_string())?;
             Ok(Command::Serve {
-                deadline_us: num(flag_value("--deadline-us"), "--deadline-us", 900)?,
-                rps: num(flag_value("--rps"), "--rps", 2000)?,
-                duration_s,
-                seed: num(flag_value("--seed"), "--seed", 11)?,
-                jobs: parse_jobs(flag_value("--jobs"))?,
-                workers: num(flag_value("--workers"), "--workers", 2)?,
-                degrade: !has_flag("--no-degrade"),
-                faults: !has_flag("--no-faults"),
+                config,
                 json: has_flag("--json"),
-                batch_max,
-                batch_slack_us: num(flag_value("--batch-slack-us"), "--batch-slack-us", 300)?,
-                shards,
-                devices,
                 timeline_out: flag_value("--timeline-out").map(ToString::to_string),
-                timeline_window_us,
-                exit_pin,
-                thermal_ppm,
-                recalibrate: has_flag("--recalibrate"),
-                recalib_drift_ppm,
-                recalib_cooldown_us,
             })
         }
         "lint" => Ok(Command::Lint {
@@ -637,26 +527,29 @@ mod tests {
         assert_eq!(
             cmd(&["serve"]),
             Command::Serve {
-                deadline_us: 900,
-                rps: 2000,
-                duration_s: 5.0,
-                seed: 11,
-                jobs: 1,
-                workers: 2,
-                degrade: true,
-                faults: true,
+                config: ScenarioConfig {
+                    deadline_us: 900,
+                    rps: 2000,
+                    duration_us: 5_000_000,
+                    seed: 11,
+                    jobs: 1,
+                    workers: 2,
+                    degrade: true,
+                    emg_share_ppm: 100_000,
+                    faults: true,
+                    batch_max: 1,
+                    batch_slack_us: 300,
+                    shards: 1,
+                    devices: vec![DeviceModel::jetson_xavier(), DeviceModel::jetson_nano()],
+                    timeline_window_us: 100_000,
+                    exit_pin: None,
+                    thermal_ppm: 0,
+                    recalibrate: false,
+                    recalib_drift_ppm: 150_000,
+                    recalib_cooldown_us: 500_000,
+                },
                 json: false,
-                batch_max: 1,
-                batch_slack_us: 300,
-                shards: 1,
-                devices: vec!["jetson-xavier".into(), "jetson-nano".into()],
                 timeline_out: None,
-                timeline_window_us: 100_000,
-                exit_pin: None,
-                thermal_ppm: 0,
-                recalibrate: false,
-                recalib_drift_ppm: 150_000,
-                recalib_cooldown_us: 500_000,
             }
         );
     }
@@ -704,26 +597,29 @@ mod tests {
                 "250000",
             ]),
             Command::Serve {
-                deadline_us: 1200,
-                rps: 500,
-                duration_s: 2.5,
-                seed: 7,
-                jobs: 8,
-                workers: 4,
-                degrade: false,
-                faults: false,
+                config: ScenarioConfig {
+                    deadline_us: 1200,
+                    rps: 500,
+                    duration_us: 2_500_000,
+                    seed: 7,
+                    jobs: 8,
+                    workers: 4,
+                    degrade: false,
+                    emg_share_ppm: 100_000,
+                    faults: false,
+                    batch_max: 8,
+                    batch_slack_us: 150,
+                    shards: 2,
+                    devices: vec![DeviceModel::jetson_xavier(), DeviceModel::tesla_k20m()],
+                    timeline_window_us: 50_000,
+                    exit_pin: Some(3),
+                    thermal_ppm: 1_300_000,
+                    recalibrate: true,
+                    recalib_drift_ppm: 200_000,
+                    recalib_cooldown_us: 250_000,
+                },
                 json: true,
-                batch_max: 8,
-                batch_slack_us: 150,
-                shards: 2,
-                devices: vec!["jetson-xavier".into(), "tesla-k20m".into()],
                 timeline_out: Some("tl.jsonl".into()),
-                timeline_window_us: 50_000,
-                exit_pin: Some(3),
-                thermal_ppm: 1_300_000,
-                recalibrate: true,
-                recalib_drift_ppm: 200_000,
-                recalib_cooldown_us: 250_000,
             }
         );
     }
@@ -742,28 +638,49 @@ mod tests {
         assert!(parse(&argv(&["serve", "--exit-table", "deep"])).is_err());
         assert!(parse(&argv(&["serve", "--recalib-drift-ppm", "0"])).is_err());
         assert!(parse(&argv(&["serve", "--recalib-cooldown-us", "0"])).is_err());
+        assert!(parse(&argv(&["serve", "--deadline-us", "0"])).is_err());
+        assert!(parse(&argv(&["serve", "--rps", "0"])).is_err());
+        assert!(parse(&argv(&["serve", "--duration", "1e12"])).is_err());
+        assert!(parse(&argv(&[
+            "serve",
+            "--timeline-window-us",
+            "1",
+            "--duration",
+            "1000"
+        ]))
+        .is_err());
+        assert!(parse(&argv(&["serve", "--workers", "100000000"])).is_err());
+        assert!(parse(&argv(&[
+            "serve",
+            "--thermal-ppm",
+            "18446744073709551615",
+            "--duration",
+            "0.1"
+        ]))
+        .is_err());
     }
 
     #[test]
     fn exit_table_full_is_the_adaptive_default() {
-        let Command::Serve { exit_pin, .. } = cmd(&["serve", "--exit-table", "full"]) else {
+        let Command::Serve { config, .. } = cmd(&["serve", "--exit-table", "full"]) else {
             panic!("not a serve command");
         };
-        assert_eq!(exit_pin, None);
-        let Command::Serve { exit_pin, .. } = cmd(&["serve", "--exit-table", "0"]) else {
+        assert_eq!(config.exit_pin, None);
+        let Command::Serve { config, .. } = cmd(&["serve", "--exit-table", "0"]) else {
             panic!("not a serve command");
         };
-        assert_eq!(exit_pin, Some(0));
+        assert_eq!(config.exit_pin, Some(0));
     }
 
     #[test]
     fn serve_device_spellings_canonicalize() {
-        let Command::Serve { devices, .. } =
+        let Command::Serve { config, .. } =
             cmd(&["serve", "--devices", "jetson_xavier, nano ,tesla-k20m"])
         else {
             panic!("not a serve command");
         };
-        assert_eq!(devices, vec!["jetson-xavier", "jetson-nano", "tesla-k20m"]);
+        let names: Vec<&str> = config.devices.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names, vec!["jetson-xavier", "jetson-nano", "tesla-k20m"]);
     }
 
     #[test]

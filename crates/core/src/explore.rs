@@ -11,24 +11,6 @@ use netcut_obs as obs;
 use netcut_sim::Session;
 use netcut_train::Retrainer;
 
-/// Measures and retrains one TRN into a [`CandidatePoint`].
-///
-/// Compatibility shim over [`EvalContext::evaluate`]: each call builds a
-/// throwaway non-caching context, so it recomputes every time exactly like
-/// the original direct implementation. Callers evaluating more than one
-/// candidate should hold an [`EvalContext`] instead.
-pub fn evaluate_candidate<R: Retrainer>(
-    trn: &Network,
-    source: &Network,
-    session: &Session,
-    retrainer: &R,
-    seed: u64,
-) -> CandidatePoint {
-    EvalContext::new(session, retrainer)
-        .with_cache(false)
-        .evaluate(trn, source, seed)
-}
-
 /// Result of an exploration run (exhaustive or otherwise): the evaluated
 /// candidates and the retraining bill.
 #[derive(Debug, Clone)]

@@ -123,11 +123,6 @@ pub struct TrnLadder {
     calib_ppm: u64,
 }
 
-/// The exit table *is* the ladder: every rung is one exit head of the
-/// single multi-exit network, so this alias names the same type by its
-/// post-refactor role.
-pub type ExitTable = TrnLadder;
-
 impl TrnLadder {
     /// Builds the exit table from evaluated candidates: Pareto-filter,
     /// then order ascending by measured latency. Rungs with identical

@@ -18,7 +18,7 @@
 //!
 //! The moving parts:
 //!
-//! * [`TrnLadder`] (alias [`ExitTable`]) — the Pareto set from
+//! * [`TrnLadder`] (the exit table) — the Pareto set from
 //!   `netcut::explore`, ordered by predicted latency in integer
 //!   microseconds, with the memoryless slack-based exit-selection policy
 //!   and the per-device memory accounting.
@@ -86,12 +86,13 @@ pub mod timeline;
 pub use batch::Batcher;
 pub use calqueue::CalendarQueue;
 pub use faults::{FaultKind, FaultPlan, FaultTable, FaultWindow};
-pub use ladder::{ExitTable, LadderError, LadderMemory, Rung, TrnLadder};
+pub use ladder::{LadderError, LadderMemory, Rung, TrnLadder};
 pub use recalib::{CalibrateOnly, RecalibConfig, Recalibrator};
 pub use request::{service_noise_ppm, Request, RequestKind, Workload, PPM};
 pub use runtime::{RequestOutcome, Server, ServerConfig, Status};
 pub use scenario::{
-    build_ladder, build_ladder_for, run_scenario, Scenario, ScenarioConfig, ScenarioRecalibrator,
+    build_ladder, build_ladder_for, run_scenario, ConfigError, Scenario, ScenarioConfig,
+    ScenarioRecalibrator,
 };
 pub use shard::{Candidate, Shard, ShardRouter};
 pub use splane::{ladder_error_report, reference_matrix, serve_artifact, stress_scenario};

@@ -24,6 +24,7 @@
 //! summaries across `--jobs` settings, machines, and reruns.
 
 use crate::ladder::TrnLadder;
+use crate::scenario::{ConfigError, MAX_HORIZON_US};
 
 /// Controller parameters, all integer virtual-time or ppm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,24 +61,28 @@ impl Default for RecalibConfig {
 }
 
 impl RecalibConfig {
-    /// Panics unless the configuration is self-consistent: positive
-    /// thresholds and intervals, and a refit window at least as large as
-    /// the trigger's minimum sample count (the SV013 rule, enforced at
-    /// run start too).
-    pub fn validate(&self) {
-        assert!(
-            self.drift_ppm > 0,
-            "recalib drift threshold must be positive"
-        );
-        assert!(self.cooldown_us > 0, "recalib cooldown must be positive");
-        assert!(self.watermark_us > 0, "recalib watermark must be positive");
-        assert!(self.min_samples > 0, "recalib min_samples must be positive");
-        assert!(
-            self.window >= self.min_samples as usize,
-            "refit window ({}) must hold at least min_samples ({})",
-            self.window,
-            self.min_samples,
-        );
+    /// Checks that the configuration is self-consistent: positive
+    /// thresholds and intervals, a cooldown within [`MAX_HORIZON_US`], and
+    /// a refit window at least as large as the trigger's minimum sample
+    /// count (the SV013 rule, enforced at run start too).
+    ///
+    /// # Errors
+    /// The first violated constraint.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        use ConfigError as E;
+        let (cooldown, window, min) = (self.cooldown_us, self.window, self.min_samples);
+        #[rustfmt::skip]
+        let rows = [
+            (self.drift_ppm == 0, E::ZeroRecalibDrift),
+            (cooldown == 0, E::ZeroRecalibCooldown),
+            (cooldown > MAX_HORIZON_US, E::IntervalTooLong("--recalib-cooldown-us", cooldown)),
+            (self.watermark_us == 0, E::ZeroRecalibWatermark),
+            (min == 0, E::ZeroRecalibMinSamples),
+            ((window as u64) < min, E::RecalibWindowTooSmall(window, min)),
+        ];
+        rows.into_iter()
+            .find(|(violated, _)| *violated)
+            .map_or(Ok(()), |(_, err)| Err(err))
     }
 }
 
@@ -136,18 +141,19 @@ mod tests {
 
     #[test]
     fn defaults_validate() {
-        RecalibConfig::default().validate();
+        assert_eq!(RecalibConfig::default().validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "window")]
     fn starved_window_is_rejected() {
-        RecalibConfig {
+        let err = RecalibConfig {
             min_samples: 8,
             window: 7,
             ..RecalibConfig::default()
         }
-        .validate();
+        .validate()
+        .expect_err("a 7-sample window cannot hold 8 samples");
+        assert!(err.to_string().contains("window"), "{err}");
     }
 
     #[test]

@@ -540,7 +540,7 @@ impl Server {
         let mut generations: Vec<u64> = vec![0; self.shards.len()];
         let mut hot = HotMetrics::default();
         let mut controller = recalib.map(|(cfg, recalibrator)| {
-            cfg.validate();
+            cfg.validate().expect("recalibration config must validate");
             let lens: Vec<usize> = self.shards.iter().map(|s| s.ladder.len()).collect();
             Controller {
                 cfg: *cfg,

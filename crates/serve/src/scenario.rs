@@ -21,7 +21,7 @@
 use crate::faults::FaultPlan;
 use crate::ladder::{LadderError, LadderMemory, TrnLadder};
 use crate::recalib::{RecalibConfig, Recalibrator};
-use crate::request::{service_noise_ppm, Workload};
+use crate::request::{service_noise_ppm, Workload, PPM};
 use crate::runtime::{RequestOutcome, Server, ServerConfig};
 use crate::shard::Shard;
 use crate::summary::{RunMeta, ServeSummary};
@@ -32,14 +32,16 @@ use netcut_graph::{zoo, HeadSpec};
 use netcut_obs as obs;
 use netcut_sim::{batch_scale_ppm, DeviceModel, Precision, Session};
 use netcut_train::SurrogateRetrainer;
+use std::fmt;
 use std::sync::Arc;
 
 /// Salt mixed into per-shard seeds (shard 0 stays unsalted so single-shard
 /// runs reproduce pre-sharding behavior bit-for-bit).
 const SHARD_SEED_SALT: u64 = 0x7368_6172_645f_6964;
 
-/// Parameters of a full serve run.
-#[derive(Debug, Clone)]
+/// Parameters of a full serve run. [`ScenarioConfig::validate`] is the
+/// one place its constraints live.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Per-request deadline, microseconds.
     pub deadline_us: u64,
@@ -119,8 +121,198 @@ impl Default for ScenarioConfig {
     }
 }
 
+/// Longest virtual-time horizon (`duration_us + deadline_us`), µs (about
+/// 4.5 minutes). Every event lands before the last admitted deadline plus
+/// one service time, and each event calendar queue keeps a 24-byte bucket
+/// per 256 µs of horizon: at most 24 MiB per queue. The other intervals
+/// share the bound, so a timestamp plus an interval never nears overflow.
+pub const MAX_HORIZON_US: u64 = 1 << 28;
+/// Most projected requests (`rps × duration`). A request costs ~280 bytes
+/// across the stream, the outcome ledgers and the summary's latency sort:
+/// ~600 MB at the cap, twice the 10⁶-request stress leg.
+pub const MAX_REQUESTS: u128 = 1 << 21;
+/// Most projected timeline cells (horizon windows × shards). A dense cell
+/// plus its window row cost ~600 bytes: under 40 MB at the cap.
+pub const MAX_TIMELINE_CELLS: u128 = 1 << 16;
+/// Most shards. Each shard past the first holds an 8-byte noise entry per
+/// request: 15 such tables at [`MAX_REQUESTS`] are 250 MB.
+pub const MAX_SHARDS: usize = 16;
+/// Most workers. Each is an 8-byte slot that admission scans on every
+/// arrival: this caps per-request work at 8× the stress leg's pool.
+pub const MAX_WORKERS: usize = 1024;
+/// Most evaluation jobs; each is an OS thread (with its own stack) per
+/// parallel build stage.
+pub const MAX_JOBS: usize = 256;
+/// Largest batch. Each exit stores a `batch_max`-point batch curve, each
+/// point a latency-model evaluation, and the summary a
+/// `batch_max`-bucket histogram.
+pub const MAX_BATCH: usize = 64;
+/// Largest thermal factor, ppm (10× service time). Fault factors fold in
+/// `u128` and are cast back to `u64` µs, a cast an unbounded factor
+/// overflows without a trace.
+pub const MAX_THERMAL_PPM: u64 = 10 * PPM;
+
+/// A serve configuration constraint violation — one variant per
+/// constraint of [`ScenarioConfig::validate`] and
+/// [`RecalibConfig::validate`], carrying the offending values — or an
+/// exit-table error at build. Messages name the `serve` flag.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `deadline_us` is zero.
+    ZeroDeadline,
+    /// `rps` is zero.
+    ZeroRate,
+    /// `duration_us` is zero.
+    ZeroDuration,
+    /// `batch_max` is zero.
+    ZeroBatchMax,
+    /// `shards` is zero.
+    ZeroShards,
+    /// `(shards, workers)`: some shard would get no worker.
+    ShardsExceedWorkers(usize, usize),
+    /// The device roster is empty.
+    EmptyRoster,
+    /// `timeline_window_us` is zero.
+    ZeroTimelineWindow,
+    /// `duration_us + deadline_us` is above [`MAX_HORIZON_US`].
+    HorizonTooLong(u128),
+    /// `(flag, µs)`: an interval is above [`MAX_HORIZON_US`].
+    IntervalTooLong(&'static str, u64),
+    /// Projected requests are above [`MAX_REQUESTS`].
+    TooManyRequests(u128),
+    /// Projected timeline cells are above [`MAX_TIMELINE_CELLS`].
+    TooManyTimelineCells(u128),
+    /// `shards` is above [`MAX_SHARDS`].
+    TooManyShards(usize),
+    /// `workers` is above [`MAX_WORKERS`].
+    TooManyWorkers(usize),
+    /// `jobs` is above [`MAX_JOBS`].
+    TooManyJobs(usize),
+    /// `batch_max` is above [`MAX_BATCH`].
+    BatchTooLarge(usize),
+    /// `thermal_ppm` is above [`MAX_THERMAL_PPM`].
+    ThermalTooLarge(u64),
+    /// The recalibration drift threshold is zero.
+    ZeroRecalibDrift,
+    /// The recalibration cooldown is zero.
+    ZeroRecalibCooldown,
+    /// The recalibration watermark spacing is zero.
+    ZeroRecalibWatermark,
+    /// The recalibration trigger's sample floor is zero.
+    ZeroRecalibMinSamples,
+    /// `(window, min_samples)`: the refit window cannot hold the floor.
+    RecalibWindowTooSmall(usize, u64),
+    /// An exit table could not be built or pinned.
+    Ladder(LadderError),
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use ConfigError as E;
+        match self {
+            E::ZeroDeadline => write!(f, "--deadline-us must be positive"),
+            E::ZeroRate => write!(f, "--rps must be positive"),
+            E::ZeroDuration => write!(f, "--duration must be a positive number of seconds"),
+            E::ZeroBatchMax => write!(f, "--batch-max must be at least 1 (1 = batching off)"),
+            E::ZeroShards => write!(f, "--shards must be at least 1"),
+            E::ShardsExceedWorkers(shards, workers) => write!(
+                f,
+                "--shards {shards} needs at least that many workers (got --workers {workers})"
+            ),
+            E::EmptyRoster => write!(f, "--devices must name at least one device"),
+            E::ZeroTimelineWindow => write!(f, "--timeline-window-us must be positive"),
+            E::HorizonTooLong(us) => write!(
+                f,
+                "--duration plus --deadline-us spans {us} µs, above {MAX_HORIZON_US}"
+            ),
+            E::IntervalTooLong(flag, us) => write!(f, "{flag} {us} is above {MAX_HORIZON_US}"),
+            E::TooManyRequests(n) => write!(
+                f,
+                "--rps × --duration projects {n} requests, above {MAX_REQUESTS}"
+            ),
+            E::TooManyTimelineCells(n) => write!(
+                f,
+                "--duration / --timeline-window-us × --shards projects {n} timeline cells, \
+                 above {MAX_TIMELINE_CELLS}"
+            ),
+            E::TooManyShards(n) => write!(f, "--shards {n} is above {MAX_SHARDS}"),
+            E::TooManyWorkers(n) => write!(f, "--workers {n} is above {MAX_WORKERS}"),
+            E::TooManyJobs(n) => write!(f, "--jobs {n} is above {MAX_JOBS}"),
+            E::BatchTooLarge(n) => write!(f, "--batch-max {n} is above {MAX_BATCH}"),
+            E::ThermalTooLarge(ppm) => write!(f, "--thermal-ppm {ppm} is above {MAX_THERMAL_PPM}"),
+            E::ZeroRecalibDrift => write!(f, "--recalib-drift-ppm must be positive"),
+            E::ZeroRecalibCooldown => write!(f, "--recalib-cooldown-us must be positive"),
+            E::ZeroRecalibWatermark => write!(f, "recalib watermark must be positive"),
+            E::ZeroRecalibMinSamples => write!(f, "recalib min_samples must be positive"),
+            E::RecalibWindowTooSmall(window, min) => write!(
+                f,
+                "refit window ({window}) must hold at least min_samples ({min})"
+            ),
+            E::Ladder(err) => err.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
+impl ScenarioConfig {
+    /// Checks every constraint of a serve run, before anything is
+    /// allocated: positive sizes and rates, shards within workers, a
+    /// non-empty roster, the recalibration thresholds
+    /// ([`RecalibConfig::validate`]), and the `MAX_*` resource bounds.
+    ///
+    /// # Errors
+    /// The first violated constraint.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        use ConfigError as E;
+        self.recalib_config().validate()?;
+        let (shards, workers, window) = (self.shards, self.workers, self.timeline_window_us);
+        let (slack, thermal) = (self.batch_slack_us, self.thermal_ppm);
+        let horizon = u128::from(self.duration_us) + u128::from(self.deadline_us);
+        let requests = u128::from(self.rps) * u128::from(self.duration_us) / u128::from(PPM);
+        // `max(1)`: a zero window is a row of its own below.
+        let cells = horizon.div_ceil(u128::from(window.max(1))) * shards as u128;
+        // One row per constraint, first violation reported.
+        #[rustfmt::skip]
+        let rows = [
+            (self.deadline_us == 0, E::ZeroDeadline),
+            (self.rps == 0, E::ZeroRate),
+            (self.duration_us == 0, E::ZeroDuration),
+            (self.batch_max == 0, E::ZeroBatchMax),
+            (shards == 0, E::ZeroShards),
+            (shards > workers, E::ShardsExceedWorkers(shards, workers)),
+            (self.devices.is_empty(), E::EmptyRoster),
+            (window == 0, E::ZeroTimelineWindow),
+            (horizon > u128::from(MAX_HORIZON_US), E::HorizonTooLong(horizon)),
+            (slack > MAX_HORIZON_US, E::IntervalTooLong("--batch-slack-us", slack)),
+            (window > MAX_HORIZON_US, E::IntervalTooLong("--timeline-window-us", window)),
+            (requests > MAX_REQUESTS, E::TooManyRequests(requests)),
+            (cells > MAX_TIMELINE_CELLS, E::TooManyTimelineCells(cells)),
+            (shards > MAX_SHARDS, E::TooManyShards(shards)),
+            (workers > MAX_WORKERS, E::TooManyWorkers(workers)),
+            (self.jobs > MAX_JOBS, E::TooManyJobs(self.jobs)),
+            (self.batch_max > MAX_BATCH, E::BatchTooLarge(self.batch_max)),
+            (thermal > MAX_THERMAL_PPM, E::ThermalTooLarge(thermal)),
+        ];
+        rows.into_iter()
+            .find(|(violated, _)| *violated)
+            .map_or(Ok(()), |(_, err)| Err(err))
+    }
+
+    /// The recalibration thresholds a run under this config uses: the
+    /// CLI-exposed knobs over the [`RecalibConfig`] defaults.
+    fn recalib_config(&self) -> RecalibConfig {
+        RecalibConfig {
+            drift_ppm: self.recalib_drift_ppm,
+            cooldown_us: self.recalib_cooldown_us,
+            ..RecalibConfig::default()
+        }
+    }
+}
+
 /// A fully-built scenario, ready to run (and re-run: the simulation is a
-/// pure function, so [`Scenario::run`] always returns the same outcomes).
+/// pure function, so [`Scenario::run_full`] always returns the same
+/// outcomes).
 #[derive(Debug, Clone)]
 pub struct Scenario {
     /// The device shards the server routes across.
@@ -256,39 +448,28 @@ fn split_workers(workers: usize, shards: usize) -> Vec<usize> {
 }
 
 impl Scenario {
-    /// Builds the scenario, panicking on exit-table configuration errors —
-    /// the pre-refactor API, for callers that construct configs they know
-    /// are valid. Prefer [`Scenario::try_build`] at trust boundaries (the
-    /// CLI goes through it).
+    /// Builds the scenario, panicking on configuration errors — for
+    /// callers that construct configs they know are valid. Prefer
+    /// [`Scenario::try_build`] at trust boundaries (the CLI goes through
+    /// it).
     ///
     /// # Panics
-    /// Panics if `cfg.shards` is zero, exceeds `cfg.workers`, the device
-    /// roster is empty, or [`Scenario::try_build`] reports a
-    /// [`LadderError`].
+    /// Panics if [`Scenario::try_build`] reports a [`ConfigError`].
     pub fn build(cfg: ScenarioConfig) -> Self {
         Self::try_build(cfg).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Builds the scenario: per-device exit tables, workload, noise
-    /// tables, fault plans.
+    /// tables, fault plans. The config is validated first, before
+    /// anything is allocated.
     ///
     /// # Errors
-    /// [`LadderError::NoCandidates`] if a device's exploration yields no
-    /// exit candidates; [`LadderError::ExitPinOutOfRange`] if
-    /// `cfg.exit_pin` indexes past the end of some shard's exit table.
-    ///
-    /// # Panics
-    /// Panics if `cfg.shards` is zero, exceeds `cfg.workers`, or the
-    /// device roster is empty — programmer errors, not configuration ones.
-    pub fn try_build(cfg: ScenarioConfig) -> Result<Self, LadderError> {
-        assert!(cfg.shards > 0, "scenario needs at least one shard");
-        assert!(
-            cfg.shards <= cfg.workers,
-            "every shard needs at least one worker ({} shards > {} workers)",
-            cfg.shards,
-            cfg.workers
-        );
-        assert!(!cfg.devices.is_empty(), "device roster must not be empty");
+    /// Any [`ScenarioConfig::validate`] violation;
+    /// [`ConfigError::Ladder`] if a device's exploration yields no exit
+    /// candidates or `cfg.exit_pin` indexes past the end of some shard's
+    /// exit table.
+    pub fn try_build(cfg: ScenarioConfig) -> Result<Self, ConfigError> {
+        cfg.validate()?;
         let mut span = obs::span("serve.scenario.build");
         span.field("seed", cfg.seed);
         span.field("jobs", cfg.jobs);
@@ -312,16 +493,17 @@ impl Scenario {
                 let ctx = EvalContext::new(&session, &retrainer)
                     .with_jobs(cfg.jobs)
                     .with_shared_caches(caches.clone());
-                ladders.push((device.name.clone(), build_ladder_in(&cfg, device, &ctx)?));
+                let ladder = build_ladder_in(&cfg, device, &ctx).map_err(ConfigError::Ladder)?;
+                ladders.push((device.name.clone(), ladder));
             }
         }
         if let Some(pin) = cfg.exit_pin {
             for (_, ladder) in &ladders {
                 if pin >= ladder.len() {
-                    return Err(LadderError::ExitPinOutOfRange {
+                    return Err(ConfigError::Ladder(LadderError::ExitPinOutOfRange {
                         pin,
                         exits: ladder.len(),
-                    });
+                    }));
                 }
             }
         }
@@ -439,11 +621,6 @@ impl Scenario {
         Server::with_shards(self.shards.clone(), self.server_config.clone())
     }
 
-    /// Runs the serving simulation and returns per-request outcomes.
-    pub fn run(&self) -> Vec<RequestOutcome> {
-        self.server().run(&self.requests)
-    }
-
     /// The timeline configuration this scenario records under.
     pub fn timeline_config(&self) -> TimelineConfig {
         TimelineConfig {
@@ -456,11 +633,7 @@ impl Scenario {
     /// under (watermark cadence and refit-window sizing stay at the
     /// [`RecalibConfig`] defaults; only the CLI-exposed knobs vary).
     pub fn recalib_config(&self) -> RecalibConfig {
-        RecalibConfig {
-            drift_ppm: self.config.recalib_drift_ppm,
-            cooldown_us: self.config.recalib_cooldown_us,
-            ..RecalibConfig::default()
-        }
+        self.config.recalib_config()
     }
 
     /// The closed-loop recalibrator for this scenario: re-explores each
@@ -597,7 +770,10 @@ mod tests {
         })
         .expect_err("pin past the table");
         assert!(
-            matches!(err, crate::ladder::LadderError::ExitPinOutOfRange { .. }),
+            matches!(
+                err,
+                ConfigError::Ladder(LadderError::ExitPinOutOfRange { .. })
+            ),
             "{err}"
         );
     }
@@ -615,7 +791,10 @@ mod tests {
             degrade: false,
             ..quick()
         });
-        assert_eq!(pinned.run(), baseline.run());
+        assert_eq!(
+            pinned.server().run(&pinned.requests),
+            baseline.server().run(&baseline.requests)
+        );
     }
 
     #[test]

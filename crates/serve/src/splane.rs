@@ -15,8 +15,7 @@
 //! exercises; `netcut_bench::serve_matrix` delegates to it.
 
 use crate::faults::{FaultKind, FaultPlan, FaultWindow};
-use crate::ladder::LadderError;
-use crate::scenario::{Scenario, ScenarioConfig};
+use crate::scenario::{ConfigError, Scenario, ScenarioConfig};
 use netcut_verify::serve_plane::{
     FaultClass, LadderSpec, RecalibSpec, RungSpec, ServeArtifact, ShardSpec, SloSpec, WindowSpec,
 };
@@ -224,7 +223,7 @@ pub fn serve_artifact(name: &str, scenario: &Scenario) -> ServeArtifact {
 /// `lint` surfaces a broken configuration as a finding instead of a
 /// process error. `name` is the report subject, matching
 /// [`serve_artifact`]'s naming.
-pub fn ladder_error_report(name: &str, cfg: &ScenarioConfig, err: &LadderError) -> Report {
+pub fn ladder_error_report(name: &str, cfg: &ScenarioConfig, err: &ConfigError) -> Report {
     let shard = cfg
         .devices
         .first()
@@ -348,7 +347,10 @@ mod tests {
     #[test]
     fn ladder_errors_become_sv002_reports() {
         let cfg = ScenarioConfig::default();
-        let err = LadderError::ExitPinOutOfRange { pin: 99, exits: 17 };
+        let err = ConfigError::Ladder(crate::ladder::LadderError::ExitPinOutOfRange {
+            pin: 99,
+            exits: 17,
+        });
         let report = ladder_error_report("serve:pinned", &cfg, &err);
         assert!(!report.is_clean());
         assert_eq!(report.first_error().unwrap().code.as_str(), "SV002");

@@ -11,8 +11,8 @@
 //!    at `--jobs 1` and `--jobs 8`.
 
 use netcut_serve::{
-    run_scenario, Batcher, FaultPlan, Rung, Scenario, ScenarioConfig, Server, ServerConfig, Shard,
-    Status, TrnLadder, Workload, PPM,
+    run_scenario, Batcher, ConfigError, FaultPlan, LadderError, RunMeta, Rung, Scenario,
+    ScenarioConfig, ServeSummary, Server, ServerConfig, Shard, Status, TrnLadder, Workload, PPM,
 };
 use proptest::prelude::*;
 
@@ -452,6 +452,130 @@ proptest! {
             if got.is_none() {
                 break;
             }
+        }
+    }
+}
+
+/// `typical`, except that about one draw in eleven is an extreme: 0, 1 or
+/// `u64::MAX`.
+fn or_extreme(typical: std::ops::Range<u64>) -> impl Strategy<Value = u64> {
+    (0u8..32, typical).prop_map(|(pick, v)| match pick {
+        0 => 0,
+        1 => 1,
+        2 => u64::MAX,
+        _ => v,
+    })
+}
+
+/// [`or_extreme`] for `usize` fields.
+fn or_extreme_usize(typical: std::ops::Range<u64>) -> impl Strategy<Value = usize> {
+    or_extreme(typical).prop_map(|v| usize::try_from(v).unwrap_or(usize::MAX))
+}
+
+/// Serve configs over the whole field space: short durations with every
+/// field sometimes at 0, 1 or its maximum, and rosters of 0–3 devices.
+fn scenario_config_strategy() -> impl Strategy<Value = ScenarioConfig> {
+    let roster = prop::collection::vec(0usize..3, 0..8).prop_map(|mut picks| {
+        picks.truncate(3);
+        let devices = [
+            netcut_sim::DeviceModel::jetson_xavier(),
+            netcut_sim::DeviceModel::jetson_nano(),
+            netcut_sim::DeviceModel::tesla_k20m(),
+        ];
+        picks.into_iter().map(|i| devices[i].clone()).collect()
+    });
+    let exit_pin = (0u8..4, 0usize..20).prop_map(|(pick, pin)| match pick {
+        0 => Some(pin),
+        1 => Some(usize::MAX),
+        _ => None,
+    });
+    (
+        (
+            or_extreme(300..3000),
+            or_extreme(100..5000),
+            or_extreme(1000..150_000),
+            or_extreme(0..1 << 32),
+            or_extreme_usize(0..3),
+            or_extreme_usize(2..6),
+        ),
+        (
+            any::<bool>(),
+            or_extreme(0..1_100_000),
+            any::<bool>(),
+            or_extreme_usize(1..9),
+            or_extreme(0..1000),
+            or_extreme_usize(1..3),
+        ),
+        (
+            roster,
+            or_extreme(2000..200_000),
+            exit_pin,
+            or_extreme(0..2_000_000),
+            any::<bool>(),
+            or_extreme(1..400_000),
+        ),
+        or_extreme(1..1_000_000),
+    )
+        .prop_map(
+            |(
+                (deadline_us, rps, duration_us, seed, jobs, workers),
+                (degrade, emg_share_ppm, faults, batch_max, batch_slack_us, shards),
+                (devices, timeline_window_us, exit_pin, thermal_ppm, recalibrate, drift),
+                recalib_cooldown_us,
+            )| ScenarioConfig {
+                deadline_us,
+                rps,
+                duration_us,
+                seed,
+                jobs,
+                workers,
+                degrade,
+                emg_share_ppm,
+                faults,
+                batch_max,
+                batch_slack_us,
+                shards,
+                devices,
+                timeline_window_us,
+                exit_pin,
+                thermal_ppm,
+                recalibrate,
+                recalib_drift_ppm: drift,
+                recalib_cooldown_us,
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Every config either fails validation with a typed error — which
+    /// `try_build` reports unchanged, before building anything — or
+    /// builds and runs to completion with every arrival accounted for
+    /// exactly once. The one build-time rejection of a valid config is an
+    /// exit pin past the table.
+    #[test]
+    fn every_config_is_rejected_or_runs_to_completion(
+        cfg in scenario_config_strategy(),
+    ) {
+        match cfg.validate() {
+            Err(err) => {
+                prop_assert_eq!(Scenario::try_build(cfg).err(), Some(err));
+            }
+            Ok(()) => match Scenario::try_build(cfg.clone()) {
+                Err(ConfigError::Ladder(LadderError::ExitPinOutOfRange { pin, .. })) => {
+                    prop_assert_eq!(cfg.exit_pin, Some(pin));
+                }
+                Err(err) => prop_assert!(false, "valid config failed to build: {err}"),
+                Ok(scenario) => {
+                    let meta = RunMeta::from_server(&scenario.server(), cfg.duration_us);
+                    let (outcomes, _) = scenario.run_full();
+                    prop_assert_eq!(outcomes.len(), scenario.requests.len());
+                    let s = ServeSummary::from_outcomes(&outcomes, &meta);
+                    prop_assert_eq!(s.total, scenario.requests.len() as u64);
+                    prop_assert_eq!(s.total, s.served + s.missed + s.rejected + s.dropped);
+                }
+            },
         }
     }
 }
