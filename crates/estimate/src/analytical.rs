@@ -159,7 +159,8 @@ impl AnalyticalEstimator {
     ///
     /// # Panics
     ///
-    /// Panics under the same conditions as [`fit`](Self::fit).
+    /// Panics under the same conditions as [`fit`](Self::fit) and
+    /// [`grid_search`].
     pub fn fit_with_grid_search(
         samples: &[(&Network, f64)],
         info: &SourceInfo,

@@ -56,6 +56,16 @@ impl Svr {
     ///
     /// Panics if `x` is empty, ragged, or `x.len() != y.len()`.
     pub fn fit(x: &[Vec<f64>], y: &[f64], params: &SvrParams) -> Self {
+        Self::fit_with_floor(x, y, params).0
+    }
+
+    /// Fits like [`fit`](Self::fit) and also returns the fit's *C floor*:
+    /// the largest unclipped coordinate proposal `|βᵢ|` seen during
+    /// training, or `f64::INFINITY` if some proposal exceeded `params.c`
+    /// (the box bound). C enters the solver only through that clip, so
+    /// when the box never bound, refitting at any `C' ≥ floor` replays the
+    /// identical trajectory and yields bit-identical coefficients.
+    pub(crate) fn fit_with_floor(x: &[Vec<f64>], y: &[f64], params: &SvrParams) -> (Self, f64) {
         assert!(!x.is_empty(), "empty training set");
         assert_eq!(x.len(), y.len(), "x/y length mismatch");
         let mut span = netcut_obs::span("estimate.fit.svr");
@@ -78,6 +88,7 @@ impl Svr {
         let mut beta = vec![0.0f64; n];
         // f_cache[i] = Σ_j K[i][j] β_j
         let mut f_cache = vec![0.0f64; n];
+        let mut c_floor = 0.0f64;
         let max_sweeps = 5000;
         for _ in 0..max_sweeps {
             let mut max_delta = 0.0f64;
@@ -88,8 +99,10 @@ impl Svr {
                 let plus = (y[i] - r - params.epsilon) / kii;
                 let minus = (y[i] - r + params.epsilon) / kii;
                 let new = if plus > 0.0 {
+                    c_floor = c_floor.max(plus);
                     plus.min(params.c)
                 } else if minus < 0.0 {
+                    c_floor = c_floor.max(-minus);
                     minus.max(-params.c)
                 } else {
                     0.0
@@ -97,8 +110,10 @@ impl Svr {
                 let delta = new - beta[i];
                 if delta != 0.0 {
                     beta[i] = new;
-                    for j in 0..n {
-                        f_cache[j] += delta * k[j * n + i];
+                    // K is symmetric, so row i is column i bit for bit; the
+                    // contiguous walk vectorises without reassociating.
+                    for (f, &kij) in f_cache.iter_mut().zip(&k[i * n..(i + 1) * n]) {
+                        *f += delta * kij;
                     }
                     max_delta = max_delta.max(delta.abs());
                 }
@@ -108,11 +123,15 @@ impl Svr {
                 break;
             }
         }
-        Svr {
+        if c_floor > params.c {
+            c_floor = f64::INFINITY;
+        }
+        let svr = Svr {
             params: *params,
             support: x.to_vec(),
             beta,
-        }
+        };
+        (svr, c_floor)
     }
 
     /// Predicts the target for one feature row.
@@ -226,6 +245,43 @@ mod tests {
         for &b in &m.beta {
             assert!(b.abs() <= 1.0 + 1e-9);
         }
+    }
+
+    fn beta_bits(m: &Svr) -> Vec<u64> {
+        m.beta.iter().map(|b| b.to_bits()).collect()
+    }
+
+    #[test]
+    fn refits_at_or_above_the_c_floor_are_bit_identical() {
+        let x = grid(12);
+        let y: Vec<f64> = x.iter().map(|v| (2.0 * v[0]).sin()).collect();
+        let params = SvrParams {
+            c: 1e3,
+            gamma: 0.5,
+            epsilon: 1e-3,
+        };
+        let (base, floor) = Svr::fit_with_floor(&x, &y, &params);
+        assert!(floor > 0.0 && floor <= params.c, "floor = {floor}");
+        for c in [floor, 10.0 * params.c, 1e12] {
+            let (refit, refloor) = Svr::fit_with_floor(&x, &y, &SvrParams { c, ..params });
+            assert_eq!(beta_bits(&refit), beta_bits(&base), "C' = {c}");
+            assert_eq!(refloor.to_bits(), floor.to_bits(), "C' = {c}");
+        }
+    }
+
+    #[test]
+    fn a_binding_box_reports_an_infinite_floor() {
+        let x = grid(10);
+        let y: Vec<f64> = x.iter().map(|v| 100.0 * v[0]).collect();
+        let params = SvrParams {
+            c: 1.0,
+            gamma: 0.5,
+            epsilon: 1e-3,
+        };
+        let (m, floor) = Svr::fit_with_floor(&x, &y, &params);
+        assert_eq!(floor, f64::INFINITY);
+        assert!(m.beta.iter().any(|b| b.abs() == params.c));
+        assert_eq!(beta_bits(&m), beta_bits(&Svr::fit(&x, &y, &params)));
     }
 
     #[test]

@@ -100,6 +100,12 @@ fn main() {
         "hyper-parameter search at {} evaluations (10-fold CV error):",
         grid.evaluated
     );
-    println!("  grid   : {:.4}", grid.cv_error);
-    println!("  random : {:.4}", random.cv_error);
+    println!(
+        "  grid   : {:.4}  ({} SVR fits, reused across C)",
+        grid.cv_error, grid.fits
+    );
+    println!(
+        "  random : {:.4}  ({} SVR fits)",
+        random.cv_error, random.fits
+    );
 }
