@@ -34,7 +34,7 @@ use netcut_obs as obs;
 use netcut_sim::{LatencyTable, Measurement, Session};
 use netcut_train::{Retrainer, TrainedTrn};
 use serde::Serialize;
-use std::collections::HashMap;
+use std::collections::hash_map::{self, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -89,9 +89,20 @@ impl<V: Clone> SubCache<V> {
         shard.get(key).map(|e| (e.value.clone(), e.cost_s))
     }
 
-    fn insert(&self, key: Key, value: V, cost_s: f64) {
+    /// Stores `value` unless a racing caller stored one first. Returns the
+    /// stored value and whether this call is the one that stored it.
+    fn insert(&self, key: Key, value: V, cost_s: f64) -> (V, bool) {
         let mut shard = self.shards[key.shard()].lock().expect("eval cache shard");
-        shard.entry(key).or_insert(Entry { value, cost_s });
+        match shard.entry(key) {
+            hash_map::Entry::Occupied(e) => (e.get().value.clone(), false),
+            hash_map::Entry::Vacant(e) => {
+                e.insert(Entry {
+                    value: value.clone(),
+                    cost_s,
+                });
+                (value, true)
+            }
+        }
     }
 
     fn len(&self) -> usize {
@@ -356,7 +367,11 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
     }
 
     /// Memoized lookup: returns the cached value and `true`, or computes,
-    /// stores and returns the fresh value and `false`.
+    /// stores and returns the fresh value and `false`. When two callers
+    /// miss the same key at once, both compute but only the first to store
+    /// reports `false`; the other gets the stored value and `true`, so
+    /// billing downstream counts one fresh computation per key, exactly as
+    /// a serial run would. Both still count as cache misses.
     fn lookup<V: Clone>(
         &self,
         sub: &SubCache<V>,
@@ -375,14 +390,16 @@ impl<'a, R: Retrainer> EvalContext<'a, R> {
         let start = Instant::now();
         let value = compute();
         let cost_s = start.elapsed().as_secs_f64();
-        if self.use_cache {
+        let (value, stored) = if self.use_cache {
             obs::counter_add("eval.cache_miss", 1);
-            sub.insert(key, value.clone(), cost_s);
-        }
+            sub.insert(key, value, cost_s)
+        } else {
+            (value, true)
+        };
         let mut t = self.caches.totals.lock().expect("eval totals");
         t.misses += 1;
         t.eval_wall_s += cost_s;
-        (value, false)
+        (value, !stored)
     }
 
     /// Memoized [`Session::measure`].

@@ -9,9 +9,11 @@ use netcut::eval::{EvalCaches, EvalContext, EvalTask};
 use netcut::CandidatePoint;
 use netcut_graph::{HeadSpec, Network, NetworkBuilder, Padding, Shape};
 use netcut_sim::{DeviceModel, Precision, Session};
-use netcut_train::{SurrogateRetrainer, TrainingCostModel, TransferModel, TransferProfile};
+use netcut_train::{
+    Retrainer, SurrogateRetrainer, TrainedTrn, TrainingCostModel, TransferModel, TransferProfile,
+};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// A three-block toy backbone small enough for miri.
 fn tiny_net() -> Network {
@@ -142,4 +144,56 @@ fn parallel_evaluate_many_matches_serial() {
     let stats = parallel_ctx.stats();
     assert_eq!(stats.distinct_retrains, 1);
     assert_eq!(stats.entries, 5, "4 measure entries + 1 retrain entry");
+}
+
+/// A retrainer that holds every call until two are in flight, so two
+/// threads retraining the same TRN always miss the cache together.
+struct LockstepRetrainer {
+    inner: SurrogateRetrainer,
+    barrier: Barrier,
+}
+
+impl Retrainer for LockstepRetrainer {
+    fn retrain(&self, trn: &Network) -> TrainedTrn {
+        self.barrier.wait();
+        self.inner.retrain(trn)
+    }
+}
+
+/// Two threads that miss the same retrain key at once bill one retrain:
+/// the thread that stores the entry is the fresh one, the other receives
+/// the stored value and is billed like a hit, as in a serial run.
+#[test]
+fn simultaneous_misses_bill_one_retrain() {
+    let s = session();
+    let source = tiny_net();
+    let r = LockstepRetrainer {
+        inner: tiny_retrainer(&source),
+        barrier: Barrier::new(2),
+    };
+    let trn = source
+        .cut_blocks(1)
+        .expect("valid cutpoint")
+        .with_head(&HeadSpec::default());
+    let caches = Arc::new(EvalCaches::new());
+
+    let results: Vec<TrainedTrn> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let ctx = EvalContext::new(&s, &r).with_shared_caches(Arc::clone(&caches));
+                let trn = &trn;
+                scope.spawn(move || ctx.retrain(trn))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    assert_eq!(results[0], results[1]);
+    let stats = caches.stats();
+    assert_eq!(stats.misses, 2, "both threads computed");
+    assert_eq!(stats.hits, 0);
+    assert_eq!(stats.entries, 1);
+    assert_eq!(stats.distinct_retrains, 1);
+    assert_eq!(stats.fresh_train_hours, results[0].train_hours);
+    assert_eq!(stats.saved_train_hours, results[0].train_hours);
 }

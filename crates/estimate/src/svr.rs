@@ -96,8 +96,15 @@ impl Svr {
                 let kii = k[i * n + i];
                 let r = f_cache[i] - kii * beta[i];
                 // Optimal unclipped βᵢ for each sign branch of |βᵢ|.
-                let plus = (y[i] - r - params.epsilon) / kii;
-                let minus = (y[i] - r + params.epsilon) / kii;
+                let (plus, minus) = (y[i] - r - params.epsilon, y[i] - r + params.epsilon);
+                // For a finite row kii = exp(−0) + 1 = 2 exactly, and x·0.5
+                // rounds the same real number as x/2, so the multiply is
+                // bit-identical to the division it replaces.
+                let (plus, minus) = if kii == 2.0 {
+                    (plus * 0.5, minus * 0.5)
+                } else {
+                    (plus / kii, minus / kii)
+                };
                 let new = if plus > 0.0 {
                     c_floor = c_floor.max(plus);
                     plus.min(params.c)

@@ -12,10 +12,10 @@
 //! rate the SLO tolerates), a window whose own miss rate is `m_ppm` burns
 //! at `m_ppm / budget` — expressed in ppm, `PPM` = exactly on budget,
 //! `2 × PPM` = burning twice as fast as the SLO can absorb. All arithmetic
-//! is integer (`u128` intermediates), so alert streams are bit-identical
-//! across `--jobs` settings and platforms.
+//! is exact integer arithmetic ([`mul_div`]), so alert streams are
+//! bit-identical across `--jobs` settings and platforms.
 
-use crate::residual::PPM;
+use crate::residual::{mul_div, PPM};
 
 /// The stable alert-code table. Append-only: new variants take the next
 /// `OBS0xx` number and existing entries never change.
@@ -115,9 +115,8 @@ pub fn burn_rate_ppm(bad: u64, arrivals: u64, miss_budget_ppm: u64) -> u64 {
     if arrivals == 0 {
         return 0;
     }
-    let miss_ppm = u128::from(bad) * u128::from(PPM) / u128::from(arrivals);
-    (miss_ppm * u128::from(PPM) / u128::from(miss_budget_ppm.max(1))).min(u128::from(u64::MAX))
-        as u64
+    let miss_ppm = mul_div(bad.into(), PPM, 0, arrivals);
+    mul_div(miss_ppm, PPM, 0, miss_budget_ppm.max(1)).min(u128::from(u64::MAX)) as u64
 }
 
 /// What one (window, shard) cell reports for alert evaluation.

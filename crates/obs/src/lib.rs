@@ -62,7 +62,9 @@ pub use metrics::{
     counter_add, gauge_set, histogram_merge, labeled, observe, observe_us, reset as reset_metrics,
     snapshot, Gauge, Histogram, HistogramSummary, MetricName, MetricsSnapshot,
 };
-pub use residual::{ResidualCell, ResidualTracker, DEFAULT_ALPHA_PPM, DEFAULT_WINDOW, PPM};
+pub use residual::{
+    mul_div, ResidualCell, ResidualTracker, DEFAULT_ALPHA_PPM, DEFAULT_WINDOW, PPM,
+};
 pub use sink::{ChromeTraceSink, EventSink, JsonLinesSink, MemorySink, MultiSink, StderrSink};
 pub use span::SpanGuard;
 pub use window::{WindowHistogram, WindowedMetrics};

@@ -11,7 +11,7 @@
 //! ewma' = (alpha × sample + (PPM − alpha) × ewma) / PPM
 //! ```
 //!
-//! with `u128` intermediates and one truncation per update — so a residual
+//! exactly (see [`mul_div`]) with one truncation per update — so a residual
 //! trace is a pure function of the sample sequence: bit-identical across
 //! `--jobs` settings, platforms, and reruns. This is the drift signal the
 //! ROADMAP's closed-loop recalibration consumes: a cell whose EWMA walks
@@ -19,6 +19,40 @@
 
 /// One part per million; the fixed-point unit of residual arithmetic.
 pub const PPM: u64 = 1_000_000;
+
+/// `⌊(a·b + add) / d⌋`, exact for every input.
+///
+/// Every per-request and per-batch ppm scaling of the serve runtime
+/// divides here. When `a`, `a·b` and `a·b + add` all fit in `u64` — as
+/// they do for every such scaling in practice — the quotient is a 64-bit
+/// division, which a constant `d` such as [`PPM`] turns into a
+/// multiply-high and a shift. Otherwise it falls back to the plain `u128`
+/// expression, so an operand that overflows `u64` gets the same answer
+/// (and the same overflow behaviour) as the expression written out in
+/// full. `a` and `add` are `u128` so that chained scalings and
+/// two-product sums route through here unchanged.
+///
+/// # Panics
+/// Panics if `d` is zero.
+#[inline]
+pub fn mul_div(a: u128, b: u64, add: u128, d: u64) -> u128 {
+    let small = u64::try_from(a)
+        .ok()
+        .and_then(|a| a.checked_mul(b))
+        .and_then(|p| p.checked_add(u64::try_from(add).ok()?));
+    match small {
+        Some(n) => u128::from(n / d),
+        None => mul_div_wide(a, b, add, d),
+    }
+}
+
+/// The `u128` formula behind [`mul_div`], kept out of line so the callers'
+/// hot loops carry only the 64-bit path.
+#[cold]
+#[inline(never)]
+fn mul_div_wide(a: u128, b: u64, add: u128, d: u64) -> u128 {
+    (a * u128::from(b) + add) / u128::from(d)
+}
 
 /// Default smoothing factor: 1/8 per sample — heavy enough that one noisy
 /// batch cannot trip the drift alert, light enough that a real shift shows
@@ -44,9 +78,8 @@ impl ResidualCell {
         self.ewma_ppm = if self.samples == 0 {
             sample_ppm
         } else {
-            ((u128::from(alpha_ppm) * u128::from(sample_ppm)
-                + u128::from(PPM - alpha_ppm) * u128::from(self.ewma_ppm))
-                / u128::from(PPM)) as u64
+            let rest = u128::from(PPM - alpha_ppm) * u128::from(self.ewma_ppm);
+            mul_div(alpha_ppm.into(), sample_ppm, rest, PPM) as u64
         };
         self.samples += 1;
     }
@@ -72,6 +105,48 @@ impl ResidualCell {
     }
 }
 
+/// A bounded FIFO of recent samples that stays one contiguous slice.
+///
+/// The live window is `buf[head..]`. Eviction only advances `head`; once
+/// the buffer reaches twice the capacity the live tail is moved to the
+/// front. That move happens once per `cap` pushes, so eviction is
+/// amortised O(1) instead of the O(cap) shift of `Vec::remove(0)`.
+#[derive(Debug, Clone, Default)]
+struct RecentWindow {
+    buf: Vec<u64>,
+    head: usize,
+}
+
+impl RecentWindow {
+    fn push(&mut self, sample: u64, cap: usize) {
+        if self.buf.len() - self.head >= cap {
+            self.head = self.buf.len() + 1 - cap;
+        }
+        if self.buf.len() >= 2 * cap {
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+        self.buf.push(sample);
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        &self.buf[self.head..]
+    }
+
+    fn clear(&mut self) {
+        self.buf.clear();
+        self.head = 0;
+    }
+}
+
+impl PartialEq for RecentWindow {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for RecentWindow {}
+
 /// Residual EWMAs for every (shard, rung) cell of a sharded server, plus a
 /// blended per-shard cell (all rungs folded together, the timeline's
 /// per-window summary figure).
@@ -83,7 +158,7 @@ pub struct ResidualTracker {
     /// Per-shard bounded window of the most recent raw samples (ppm),
     /// oldest first — the refit API's evidence. FIFO eviction at
     /// `window_cap`.
-    recent: Vec<Vec<u64>>,
+    recent: Vec<RecentWindow>,
     window_cap: usize,
 }
 
@@ -105,7 +180,7 @@ impl ResidualTracker {
                 .map(|&len| vec![ResidualCell::default(); len])
                 .collect(),
             blended: vec![ResidualCell::default(); ladder_lens.len()],
-            recent: vec![Vec::new(); ladder_lens.len()],
+            recent: vec![RecentWindow::default(); ladder_lens.len()],
             window_cap: DEFAULT_WINDOW,
         }
     }
@@ -133,15 +208,10 @@ impl ResidualTracker {
         predicted_us: u64,
         observed_us: u64,
     ) -> u64 {
-        let sample_ppm =
-            (u128::from(observed_us) * u128::from(PPM) / u128::from(predicted_us.max(1))) as u64;
+        let sample_ppm = mul_div(observed_us.into(), PPM, 0, predicted_us.max(1)) as u64;
         self.cells[shard][rung].observe(sample_ppm, self.alpha_ppm);
         self.blended[shard].observe(sample_ppm, self.alpha_ppm);
-        let window = &mut self.recent[shard];
-        if window.len() == self.window_cap {
-            window.remove(0);
-        }
-        window.push(sample_ppm);
+        self.recent[shard].push(sample_ppm, self.window_cap);
         sample_ppm
     }
 
@@ -153,7 +223,7 @@ impl ResidualTracker {
     /// # Panics
     /// Panics if `shard` is out of range.
     pub fn recent_samples(&self, shard: usize) -> &[u64] {
-        &self.recent[shard]
+        self.recent[shard].as_slice()
     }
 
     /// Capacity of the per-shard recent-sample window.
@@ -308,6 +378,89 @@ mod tests {
         assert_eq!(t.recent_samples(0), &[1_200_000, 1_300_000, 1_400_000]);
         // Windows are per shard: shard 1 is untouched.
         assert!(t.recent_samples(1).is_empty());
+    }
+
+    /// splitmix64: a dependency-free operand stream for the sweeps below.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn mul_div_equals_the_u128_formula() {
+        let reference =
+            |a: u128, b: u64, add: u128, d: u64| (a * u128::from(b) + add) / u128::from(d);
+        let mut state = 14;
+        for i in 0..200_000u32 {
+            // Operand widths are drawn so products land below, near and
+            // above 2⁶⁴: a random bit length for each factor.
+            let (ra, rb, rd) = (next(&mut state), next(&mut state), next(&mut state));
+            let a = ra >> (ra % 64);
+            let b = rb >> (rb % 64);
+            let d = (rd >> (rd % 64)).max(1);
+            let add = match i % 4 {
+                0 => 0,
+                1 => u128::from(d / 2),
+                2 => u128::from(next(&mut state) >> 40),
+                _ => u128::from(next(&mut state)) * u128::from(next(&mut state) >> 32),
+            };
+            let wide = match i % 3 {
+                0 => u128::from(a),
+                1 => u128::from(a) << 8,
+                _ => u128::from(a) + (1 << 64),
+            };
+            // Where the u128 formula itself overflows there is nothing to
+            // agree with; both sides would panic the same way.
+            let fits = wide
+                .checked_mul(u128::from(b))
+                .and_then(|p| p.checked_add(add))
+                .is_some();
+            if fits {
+                assert_eq!(
+                    mul_div(wide, b, add, d),
+                    reference(wide, b, add, d),
+                    "a={wide} b={b} add={add} d={d}"
+                );
+            }
+            assert_eq!(mul_div(a.into(), b, 0, PPM), reference(a.into(), b, 0, PPM));
+        }
+        // Products exactly at and either side of the u64 boundary.
+        let edge = [
+            u64::MAX - 1,
+            u64::MAX,
+            1 << 32,
+            (1 << 32) + 1,
+            (1 << 32) - 1,
+        ];
+        for &a in &edge {
+            for &b in &[1, 2, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, u64::MAX] {
+                for add in [0, 1, u128::from(PPM / 2), u128::from(u64::MAX), 1 << 64] {
+                    for d in [1, 3, PPM, u64::MAX] {
+                        let a = u128::from(a);
+                        assert_eq!(mul_div(a, b, add, d), reference(a, b, add, d));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn long_recent_window_matches_a_plain_fifo() {
+        for cap in [1, 2, 3, 64] {
+            let mut t = ResidualTracker::new(&[1], DEFAULT_ALPHA_PPM).with_window(cap);
+            let mut fifo = std::collections::VecDeque::new();
+            for obs in 0..5 * cap as u64 + 7 {
+                let sample = t.observe(0, 0, 100, 100 + obs);
+                if fifo.len() == cap {
+                    fifo.pop_front();
+                }
+                fifo.push_back(sample);
+                assert_eq!(t.recent_samples(0), fifo.make_contiguous());
+            }
+        }
     }
 
     #[test]

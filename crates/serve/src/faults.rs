@@ -171,7 +171,7 @@ impl FaultPlan {
         let mut factor: u128 = u128::from(PPM);
         for w in &self.windows {
             if w.kind == FaultKind::Jitter && w.contains(t_us) {
-                factor = factor * u128::from(w.magnitude) / u128::from(PPM);
+                factor = netcut_obs::mul_div(factor, w.magnitude, 0, PPM);
             }
         }
         factor as u64

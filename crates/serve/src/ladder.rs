@@ -20,6 +20,7 @@
 use crate::request::PPM;
 use netcut::pareto::pareto_frontier;
 use netcut::CandidatePoint;
+use netcut_obs::mul_div;
 use std::fmt;
 
 /// Typed construction/configuration errors of the exit table.
@@ -75,8 +76,7 @@ impl LadderMemory {
         if self.model_bytes == 0 {
             return 0;
         }
-        (u128::from(self.baseline_model_bytes) * u128::from(PPM) / u128::from(self.model_bytes))
-            as u64
+        mul_div(self.baseline_model_bytes.into(), PPM, 0, self.model_bytes) as u64
     }
 }
 
@@ -244,7 +244,7 @@ impl TrnLadder {
         if self.calib_ppm == PPM {
             return latency_us;
         }
-        ((u128::from(latency_us) * u128::from(self.calib_ppm)) / u128::from(PPM)).max(1) as u64
+        mul_div(latency_us.into(), self.calib_ppm, 0, PPM).max(1) as u64
     }
 
     /// The resident-memory accounting, when one was attached.
@@ -301,9 +301,9 @@ impl TrnLadder {
         assert!(batch > 0, "batch must be positive");
         let base = self.rungs[rung].latency_us;
         match self.batch_curves.get(rung).and_then(|c| c.get(batch - 1)) {
-            Some(&scale_ppm) => ((u128::from(base) * u128::from(scale_ppm) + u128::from(PPM / 2))
-                / u128::from(PPM))
-            .max(1) as u64,
+            Some(&scale_ppm) => {
+                mul_div(base.into(), scale_ppm, u128::from(PPM / 2), PPM).max(1) as u64
+            }
             None => base.saturating_mul(batch as u64),
         }
     }

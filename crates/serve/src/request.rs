@@ -10,8 +10,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 /// One million — the fixed-point base for all parts-per-million arithmetic
-/// in this crate (noise factors, fault magnitudes, miss rates).
-pub const PPM: u64 = 1_000_000;
+/// in this crate (noise factors, fault magnitudes, miss rates). The same
+/// constant the telemetry crate's residuals and [`netcut_obs::mul_div`]
+/// scale by.
+pub use netcut_obs::PPM;
 
 /// What kind of inference a request asks for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -362,8 +362,8 @@ pub struct Server {
 /// PR4-exact service scaling: `base × noise × fault`, both factors in ppm,
 /// truncating after each multiply, floor 1 µs.
 fn scaled_service(base_us: u64, noise_ppm: u64, fault_ppm: u64) -> u64 {
-    let noisy = u128::from(base_us) * u128::from(noise_ppm) / u128::from(PPM);
-    (noisy * u128::from(fault_ppm) / u128::from(PPM)).max(1) as u64
+    let noisy = obs::mul_div(base_us.into(), noise_ppm, 0, PPM);
+    obs::mul_div(noisy, fault_ppm, 0, PPM).max(1) as u64
 }
 
 impl Server {
@@ -603,8 +603,7 @@ impl Server {
                             continue;
                         };
                         let calib = ladder_table[cur_ladder[s] as usize].calib_ppm();
-                        let new_calib = ((u128::from(calib) * u128::from(scale)) / u128::from(PPM))
-                            .max(1) as u64;
+                        let new_calib = obs::mul_div(calib.into(), scale, 0, PPM).max(1) as u64;
                         let generation = generations[s] + 1;
                         let Some(swapped) = ctl.recalibrator.recalibrate(s, generation, new_calib)
                         else {

@@ -128,7 +128,7 @@ impl Default for ScenarioConfig {
 /// share the bound, so a timestamp plus an interval never nears overflow.
 pub const MAX_HORIZON_US: u64 = 1 << 28;
 /// Most projected requests (`rps × duration`). A request costs ~280 bytes
-/// across the stream, the outcome ledgers and the summary's latency sort:
+/// across the stream, the outcome ledgers and the summary's latency vector:
 /// ~600 MB at the cap, twice the 10⁶-request stress leg.
 pub const MAX_REQUESTS: u128 = 1 << 21;
 /// Most projected timeline cells (horizon windows × shards). A dense cell

@@ -191,12 +191,8 @@ impl ServeSummary {
     /// Aggregates `outcomes` into a summary under `meta`'s run
     /// configuration.
     pub fn from_outcomes(outcomes: &[RequestOutcome], meta: &RunMeta) -> Self {
-        let count = |s: Status| outcomes.iter().filter(|o| o.status == s).count() as u64;
         let total = outcomes.len() as u64;
-        let served = count(Status::Served);
-        let missed = count(Status::Missed);
-        let rejected = count(Status::Rejected);
-        let dropped = count(Status::Dropped);
+        let (mut served, mut missed, mut rejected, mut dropped) = (0u64, 0u64, 0u64, 0u64);
         let mut degraded = 0u64;
         let mut shard_histogram = vec![0u64; meta.shards.len()];
         let mut rung_histograms: Vec<Vec<u64>> = meta
@@ -205,56 +201,53 @@ impl ServeSummary {
             .map(|s| vec![0u64; s.ladder_len])
             .collect();
         let mut batch_histogram = vec![0u64; meta.batch_max.max(1)];
+        let mut generations = vec![0u64; meta.shards.len()];
+        // Completion latencies (the percentile population) and rejected
+        // clients' queue delays, in outcome order: selection below needs
+        // no sorted input.
+        let mut latencies: Vec<u64> = Vec::with_capacity(outcomes.len());
+        let mut rejected_delays: Vec<u64> = Vec::new();
+        // Accuracy-weighted goodput: Σ over served requests of the exit's
+        // accuracy fraction, per second. In ppm arithmetic that is
+        // Σ acc_ppm × 10⁹ / (10⁶ × duration) = Σ acc_ppm × 10³ / duration.
+        let mut acc_sum_ppm: u128 = 0;
         for o in outcomes {
+            let shard = &meta.shards[o.shard];
             shard_histogram[o.shard] += 1;
             if let Some(r) = o.rung {
                 rung_histograms[o.shard][r] += 1;
-                if r + 1 < meta.shards[o.shard].ladder_len {
+                if r + 1 < shard.ladder_len {
                     degraded += 1;
                 }
             }
             if o.batch_size > 0 {
                 batch_histogram[o.batch_size - 1] += 1;
             }
+            generations[o.shard] = generations[o.shard].max(o.generation);
+            match o.status {
+                Status::Served => {
+                    served += 1;
+                    latencies.push(o.latency_us);
+                    acc_sum_ppm += u128::from(o.rung.map_or(PPM, |r| {
+                        shard.exit_accuracy_ppm.get(r).copied().unwrap_or(PPM)
+                    }));
+                }
+                Status::Missed => {
+                    missed += 1;
+                    latencies.push(o.latency_us);
+                }
+                Status::Rejected => {
+                    rejected += 1;
+                    rejected_delays.push(o.queue_delay_us);
+                }
+                Status::Dropped => dropped += 1,
+            }
         }
-        let mut latencies: Vec<u64> = outcomes
-            .iter()
-            .filter(|o| matches!(o.status, Status::Served | Status::Missed))
-            .map(|o| o.latency_us)
-            .collect();
-        latencies.sort_unstable();
-        let pct = |p: u64| nearest_rank(&latencies, p);
-        let mut rejected_delays: Vec<u64> = outcomes
-            .iter()
-            .filter(|o| o.status == Status::Rejected)
-            .map(|o| o.queue_delay_us)
-            .collect();
-        rejected_delays.sort_unstable();
-        // Accuracy-weighted goodput: Σ over served requests of the exit's
-        // accuracy fraction, per second. In ppm arithmetic that is
-        // Σ acc_ppm × 10⁹ / (10⁶ × duration) = Σ acc_ppm × 10³ / duration.
-        let acc_sum_ppm: u128 = outcomes
-            .iter()
-            .filter(|o| o.status == Status::Served)
-            .map(|o| {
-                u128::from(o.rung.map_or(PPM, |r| {
-                    meta.shards[o.shard]
-                        .exit_accuracy_ppm
-                        .get(r)
-                        .copied()
-                        .unwrap_or(PPM)
-                }))
-            })
-            .sum();
         let model_bytes: Vec<u64> = meta.shards.iter().map(|s| s.model_bytes).collect();
         let baseline_model_bytes: Vec<u64> =
             meta.shards.iter().map(|s| s.baseline_model_bytes).collect();
         let fleet_model: u128 = model_bytes.iter().map(|&b| u128::from(b)).sum();
         let fleet_baseline: u128 = baseline_model_bytes.iter().map(|&b| u128::from(b)).sum();
-        let mut generations = vec![0u64; meta.shards.len()];
-        for o in outcomes {
-            generations[o.shard] = generations[o.shard].max(o.generation);
-        }
         ServeSummary {
             deadline_us: meta.deadline_us,
             workers: meta.workers,
@@ -279,11 +272,11 @@ impl ServeSummary {
             rung_histograms,
             batch_histogram,
             tail_excluded: rejected + dropped,
-            rejected_queue_p99_us: nearest_rank(&rejected_delays, 99),
-            latency_p50_us: pct(50),
-            latency_p95_us: pct(95),
-            latency_p99_us: pct(99),
-            latency_max_us: latencies.last().copied().unwrap_or(0),
+            rejected_queue_p99_us: nearest_rank(&mut rejected_delays, 99),
+            latency_p50_us: nearest_rank(&mut latencies, 50),
+            latency_p95_us: nearest_rank(&mut latencies, 95),
+            latency_p99_us: nearest_rank(&mut latencies, 99),
+            latency_max_us: nearest_rank(&mut latencies, 100),
             slo_miss_budget_ppm: 0,
             burn_rate_ppm: 0,
             timeline_window_us: 0,
@@ -563,19 +556,25 @@ impl ServeSummary {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice (0 for empty).
-fn nearest_rank(sorted: &[u64], percentile: u64) -> u64 {
-    if sorted.is_empty() {
+/// Nearest-rank percentile of `values` (0 for empty): the value at
+/// 1-based rank `⌈len × percentile / 100⌉` (at least 1) of the ascending
+/// order. Found by O(len) selection, which reorders `values` in place but
+/// returns exactly what indexing the sorted slice would; repeated calls
+/// on the same slice stay correct.
+fn nearest_rank(values: &mut [u64], percentile: u64) -> u64 {
+    if values.is_empty() {
         return 0;
     }
-    let rank = (sorted.len() as u64 * percentile).div_ceil(100).max(1) as usize;
-    sorted[rank.min(sorted.len()) - 1]
+    let rank = (values.len() as u64 * percentile).div_ceil(100).max(1) as usize;
+    *values.select_nth_unstable(rank.min(values.len()) - 1).1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::request::RequestKind;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn meta() -> RunMeta {
         RunMeta {
@@ -729,11 +728,167 @@ mod tests {
         assert!(text.contains("jetson-xavier"));
     }
 
+    /// The multi-pass, sort-based aggregation `from_outcomes` replaced,
+    /// kept as the oracle for every outcome-dependent field. Fields that
+    /// depend on `meta` alone come from summarizing no outcomes.
+    fn sorted_reference(outcomes: &[RequestOutcome], meta: &RunMeta) -> ServeSummary {
+        fn sorted_rank(sorted: &[u64], percentile: u64) -> u64 {
+            if sorted.is_empty() {
+                return 0;
+            }
+            let rank = (sorted.len() as u64 * percentile).div_ceil(100).max(1) as usize;
+            sorted[rank.min(sorted.len()) - 1]
+        }
+        let count = |s: Status| outcomes.iter().filter(|o| o.status == s).count() as u64;
+        let mut r = ServeSummary::from_outcomes(&[], meta);
+        r.total = outcomes.len() as u64;
+        r.served = count(Status::Served);
+        r.missed = count(Status::Missed);
+        r.rejected = count(Status::Rejected);
+        r.dropped = count(Status::Dropped);
+        for o in outcomes {
+            r.shard_histogram[o.shard] += 1;
+            if let Some(rung) = o.rung {
+                r.rung_histograms[o.shard][rung] += 1;
+                if rung + 1 < meta.shards[o.shard].ladder_len {
+                    r.degraded += 1;
+                }
+            }
+            if o.batch_size > 0 {
+                r.batch_histogram[o.batch_size - 1] += 1;
+            }
+            r.generations[o.shard] = r.generations[o.shard].max(o.generation);
+        }
+        r.miss_rate_ppm = ((r.missed + r.rejected + r.dropped) * PPM)
+            .checked_div(r.total)
+            .unwrap_or(0);
+        r.goodput_mrps = (u128::from(r.served) * 1_000_000_000)
+            .checked_div(u128::from(meta.duration_us))
+            .unwrap_or(0) as u64;
+        r.tail_excluded = r.rejected + r.dropped;
+        let mut latencies: Vec<u64> = outcomes
+            .iter()
+            .filter(|o| matches!(o.status, Status::Served | Status::Missed))
+            .map(|o| o.latency_us)
+            .collect();
+        latencies.sort_unstable();
+        let mut delays: Vec<u64> = outcomes
+            .iter()
+            .filter(|o| o.status == Status::Rejected)
+            .map(|o| o.queue_delay_us)
+            .collect();
+        delays.sort_unstable();
+        r.rejected_queue_p99_us = sorted_rank(&delays, 99);
+        r.latency_p50_us = sorted_rank(&latencies, 50);
+        r.latency_p95_us = sorted_rank(&latencies, 95);
+        r.latency_p99_us = sorted_rank(&latencies, 99);
+        r.latency_max_us = latencies.last().copied().unwrap_or(0);
+        let acc_sum_ppm: u128 = outcomes
+            .iter()
+            .filter(|o| o.status == Status::Served)
+            .map(|o| {
+                u128::from(o.rung.map_or(PPM, |rung| {
+                    meta.shards[o.shard]
+                        .exit_accuracy_ppm
+                        .get(rung)
+                        .copied()
+                        .unwrap_or(PPM)
+                }))
+            })
+            .sum();
+        r.acc_goodput_mrps = (acc_sum_ppm * 1_000)
+            .checked_div(u128::from(meta.duration_us))
+            .unwrap_or(0) as u64;
+        r
+    }
+
+    /// Two shards of different ladder lengths; shard 1 has one exit
+    /// accuracy short, so its top rung falls back to full weight.
+    fn two_shard_meta() -> RunMeta {
+        let mut m = meta();
+        m.batch_max = 4;
+        m.shards.push(ShardMeta {
+            name: "jetson-nano".into(),
+            workers: 1,
+            ladder_len: 3,
+            exit_accuracy_ppm: vec![500_000, 700_000],
+            model_bytes: 20,
+            baseline_model_bytes: 60,
+        });
+        m.workers = 3;
+        m
+    }
+
+    fn random_outcomes(rng: &mut SmallRng, n: usize, latency_span: u64) -> Vec<RequestOutcome> {
+        let statuses = [
+            Status::Served,
+            Status::Missed,
+            Status::Rejected,
+            Status::Dropped,
+        ];
+        (0..n as u64)
+            .map(|id| {
+                let status = statuses[rng.gen_range(0..4usize)];
+                let shard = rng.gen_range(0..2usize);
+                let completed = matches!(status, Status::Served | Status::Missed);
+                let visual = rng.gen_bool(0.8);
+                let mut o = outcome(id, None, rng.gen_range(0..latency_span), status);
+                o.shard = shard;
+                o.rung = (completed && visual).then(|| rng.gen_range(0..[2, 3][shard]));
+                o.batch_size = if completed {
+                    rng.gen_range(1..=4usize)
+                } else {
+                    0
+                };
+                o.queue_delay_us = rng.gen_range(0..latency_span);
+                o.generation = rng.gen_range(0..3u64);
+                o
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fused_pass_matches_the_sorted_reference() {
+        let meta = two_shard_meta();
+        let check = |outs: &[RequestOutcome]| {
+            assert_eq!(
+                ServeSummary::from_outcomes(outs, &meta).to_json(),
+                sorted_reference(outs, &meta).to_json(),
+                "{} outcomes",
+                outs.len()
+            );
+        };
+        let mut rng = SmallRng::seed_from_u64(14);
+        for case in 0..200 {
+            let n = rng.gen_range(0..400usize);
+            // Narrow spans force many duplicate latencies.
+            let span = [2, 10, 1_000, 1 << 40][case % 4];
+            check(&random_outcomes(&mut rng, n, span));
+        }
+        check(&[]);
+        check(&sample()[..1]);
+        check(&random_outcomes(&mut rng, 1, 5));
+        let all_rejected: Vec<RequestOutcome> = (0..37)
+            .map(|id| {
+                let mut o = outcome(id, None, 0, Status::Rejected);
+                o.queue_delay_us = 1_000 + id % 5;
+                o
+            })
+            .collect();
+        check(&all_rejected);
+        let duplicates: Vec<RequestOutcome> = (0..101)
+            .map(|id| outcome(id, Some(1), 640, Status::Served))
+            .collect();
+        check(&duplicates);
+    }
+
     #[test]
     fn nearest_rank_handles_edges() {
-        assert_eq!(nearest_rank(&[], 50), 0);
-        assert_eq!(nearest_rank(&[7], 1), 7);
-        assert_eq!(nearest_rank(&[1, 2, 3, 4], 50), 2);
-        assert_eq!(nearest_rank(&[1, 2, 3, 4], 100), 4);
+        assert_eq!(nearest_rank(&mut [], 50), 0);
+        assert_eq!(nearest_rank(&mut [7], 1), 7);
+        assert_eq!(nearest_rank(&mut [1, 2, 3, 4], 50), 2);
+        assert_eq!(nearest_rank(&mut [4, 3, 2, 1], 50), 2);
+        assert_eq!(nearest_rank(&mut [1, 2, 3, 4], 100), 4);
+        assert_eq!(nearest_rank(&mut [2, 9, 2, 9], 75), 9);
     }
 }

@@ -4,9 +4,18 @@
 //! `ServerConfig::sim_jobs`). This is the cross-shard-merge guarantee the
 //! SoA event loop makes — parallelism may only trade wall-clock time,
 //! never a byte of output — checked at the scale the `bench_simcore` CI
-//! leg actually runs.
+//! leg actually runs. At seed 11 the summary must also equal the committed
+//! `tests/golden/serve_stress_seed11.json`, which the CI golden-freshness
+//! step regenerates with
+//!
+//! ```text
+//! netcut-cli serve --rps 210000 --deadline-us 5000 --workers 128 \
+//!     --batch-max 8 --shards 2 --duration 5 --seed 11 --json
+//! ```
 
 use netcut_serve::{stress_scenario, Scenario, ScenarioConfig};
+
+const GOLDEN_SEED11: &str = include_str!("../../../tests/golden/serve_stress_seed11.json");
 
 /// The stress scenario at `seed`, with the pricing pass on `jobs` workers.
 fn cfg(seed: u64, jobs: usize) -> ScenarioConfig {
@@ -51,10 +60,18 @@ fn stress_summary_and_timeline_identical_at_jobs_1_and_8() {
             summary.attach_timeline(timeline);
             summary.to_json()
         };
+        let summary = summarize(&serial, &out_1, &tl_1);
         assert_eq!(
-            summarize(&serial, &out_1, &tl_1),
+            summary,
             summarize(&parallel, &out_8, &tl_8),
             "summary diverged across jobs at seed {seed}"
         );
+        if seed == 11 {
+            assert_eq!(
+                summary,
+                GOLDEN_SEED11.trim_end(),
+                "stress summary diverged from tests/golden/serve_stress_seed11.json"
+            );
+        }
     }
 }
