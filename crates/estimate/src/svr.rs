@@ -96,15 +96,11 @@ impl Svr {
                 let kii = k[i * n + i];
                 let r = f_cache[i] - kii * beta[i];
                 // Optimal unclipped βᵢ for each sign branch of |βᵢ|.
-                let (plus, minus) = (y[i] - r - params.epsilon, y[i] - r + params.epsilon);
-                // For a finite row kii = exp(−0) + 1 = 2 exactly, and x·0.5
-                // rounds the same real number as x/2, so the multiply is
-                // bit-identical to the division it replaces.
-                let (plus, minus) = if kii == 2.0 {
-                    (plus * 0.5, minus * 0.5)
-                } else {
-                    (plus / kii, minus / kii)
-                };
+                // The RBF+1 diagonal is exp(−0) + 1 = 2 exactly (a non-finite
+                // row makes kii, r and both proposals NaN either way), and
+                // x·0.5 rounds the same real number as x/kii.
+                let plus = (y[i] - r - params.epsilon) * 0.5;
+                let minus = (y[i] - r + params.epsilon) * 0.5;
                 let new = if plus > 0.0 {
                     c_floor = c_floor.max(plus);
                     plus.min(params.c)

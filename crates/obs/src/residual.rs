@@ -107,35 +107,33 @@ impl ResidualCell {
 
 /// A bounded FIFO of recent samples that stays one contiguous slice.
 ///
-/// The live window is `buf[head..]`. Eviction only advances `head`; once
-/// the buffer reaches twice the capacity the live tail is moved to the
-/// front. That move happens once per `cap` pushes, so eviction is
-/// amortised O(1) instead of the O(cap) shift of `Vec::remove(0)`.
-#[derive(Debug, Clone, Default)]
+/// The live window is the last `min(len, cap)` entries of `buf`. Once the
+/// buffer reaches twice the capacity, the older half is drained. That
+/// happens once per `cap` pushes, so eviction is amortised O(1) instead of
+/// the O(cap) shift of `Vec::remove(0)`.
+#[derive(Debug, Clone)]
 struct RecentWindow {
     buf: Vec<u64>,
-    head: usize,
+    cap: usize,
 }
 
 impl RecentWindow {
-    fn push(&mut self, sample: u64, cap: usize) {
-        if self.buf.len() - self.head >= cap {
-            self.head = self.buf.len() + 1 - cap;
+    fn new(cap: usize) -> Self {
+        RecentWindow {
+            buf: Vec::new(),
+            cap,
         }
-        if self.buf.len() >= 2 * cap {
-            self.buf.drain(..self.head);
-            self.head = 0;
+    }
+
+    fn push(&mut self, sample: u64) {
+        if self.buf.len() >= 2 * self.cap {
+            self.buf.drain(..self.buf.len() - self.cap);
         }
         self.buf.push(sample);
     }
 
     fn as_slice(&self) -> &[u64] {
-        &self.buf[self.head..]
-    }
-
-    fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
+        &self.buf[self.buf.len().saturating_sub(self.cap)..]
     }
 }
 
@@ -180,7 +178,7 @@ impl ResidualTracker {
                 .map(|&len| vec![ResidualCell::default(); len])
                 .collect(),
             blended: vec![ResidualCell::default(); ladder_lens.len()],
-            recent: vec![RecentWindow::default(); ladder_lens.len()],
+            recent: vec![RecentWindow::new(DEFAULT_WINDOW); ladder_lens.len()],
             window_cap: DEFAULT_WINDOW,
         }
     }
@@ -192,6 +190,9 @@ impl ResidualTracker {
     pub fn with_window(mut self, capacity: usize) -> Self {
         assert!(capacity > 0, "window capacity must be positive");
         self.window_cap = capacity;
+        for window in &mut self.recent {
+            window.cap = capacity;
+        }
         self
     }
 
@@ -211,7 +212,7 @@ impl ResidualTracker {
         let sample_ppm = mul_div(observed_us.into(), PPM, 0, predicted_us.max(1)) as u64;
         self.cells[shard][rung].observe(sample_ppm, self.alpha_ppm);
         self.blended[shard].observe(sample_ppm, self.alpha_ppm);
-        self.recent[shard].push(sample_ppm, self.window_cap);
+        self.recent[shard].push(sample_ppm);
         sample_ppm
     }
 
@@ -243,7 +244,7 @@ impl ResidualTracker {
             *cell = ResidualCell::default();
         }
         self.blended[shard] = ResidualCell::default();
-        self.recent[shard].clear();
+        self.recent[shard].buf.clear();
     }
 
     /// The (shard, rung) cell.
